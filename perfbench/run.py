@@ -5,9 +5,11 @@
 
 Run from the repository root. Builds `monomapd` and the benchmark in
 release mode (into $CARGO_TARGET_DIR, default `target`), then runs the
-benchmark, whose last line of standard output is the result JSON. Build
-output goes to standard error. Exits non-zero, printing no result, if
-either build fails.
+benchmark. With `--workload`, the last line of standard output is the
+result JSON. Without it, every workload runs in a process of its own
+(so none inherits another's peak RSS), each printing its row and its
+result line. Build output goes to standard error. Exits non-zero,
+printing no result, if either build fails.
 """
 
 import os
@@ -17,6 +19,7 @@ import sys
 
 BUILD_TIMEOUT_S = 850
 RUN_TIMEOUT_S = 175
+WORKLOADS = ["cold-4x4", "cold-20x20", "daemon-mix"]
 
 
 def run(cmd, timeout, **kwargs):
@@ -47,8 +50,14 @@ def main():
             return 1
     bench = os.path.join(target, "release", "perfbench")
     daemon = os.path.join(target, "release", "monomapd")
-    sys.stdout.flush()
-    return run([bench, "--monomapd", daemon] + sys.argv[1:], RUN_TIMEOUT_S)
+    args = sys.argv[1:]
+    runs = [args] if "--workload" in args else [["--workload", w] + args for w in WORKLOADS]
+    for run_args in runs:
+        sys.stdout.flush()
+        code = run([bench, "--monomapd", daemon] + run_args, RUN_TIMEOUT_S)
+        if code != 0:
+            return code
+    return 0
 
 
 if __name__ == "__main__":

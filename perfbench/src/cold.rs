@@ -4,6 +4,7 @@
 //! loop, one caller.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,7 +20,7 @@ use monomap_service::{CacheProbe, CachedMappingService};
 use crate::check::{self, Tally};
 use crate::corpus;
 use crate::relabel;
-use crate::report::{core_metrics, metric, peak_rss_mib, timed_median, Metric, RunResult};
+use crate::report::{core_metrics, metric, peak_rss_mib, Metric, RunResult};
 use crate::rng::Rng;
 use crate::stats::{self, label, summarize};
 use crate::trace::Tracer;
@@ -31,7 +32,9 @@ pub struct Params {
     pub numberings: usize,
 }
 
-/// Set-ups per run; `setup_s` is their median.
+/// Set-ups per run, at least; `setup_s` is their median. The first
+/// comes before the solves, the others after each repeat round, so
+/// they sample the machine across the run as the solves do.
 const SETUP_REPS: usize = 9;
 /// Samples whose first solve is faster than this are solved again, so
 /// that timer and scheduling noise averages out where the median sits.
@@ -68,7 +71,13 @@ fn generate(params: &Params, seed: u64) -> Vec<Sample> {
 }
 
 pub fn run(params: &Params, seed: u64, seconds: f64, traced: bool) -> RunResult {
-    let (samples, setup_s) = timed_median(SETUP_REPS, || generate(params, seed));
+    let time_setup = || {
+        let t0 = Instant::now();
+        let samples = generate(params, seed);
+        (t0.elapsed().as_secs_f64(), samples)
+    };
+    let (first_setup, samples) = time_setup();
+    let mut setup_times = vec![first_setup];
     let cgra = Cgra::new(params.rows, params.cols).expect("benchmark grid is valid");
     let service = MappingService::new(&cgra);
     let mut order: Vec<usize> = (0..samples.len()).collect();
@@ -110,6 +119,7 @@ pub fn run(params: &Params, seed: u64, seconds: f64, traced: bool) -> RunResult 
             cheap.push(pos);
         } else {
             repeat_round(&cheap, &first, &mut times);
+            setup_times.push(time_setup().0);
         }
     }
     let first_pass_s: f64 = first.iter().map(|(t, _)| t).sum();
@@ -118,11 +128,16 @@ pub fn run(params: &Params, seed: u64, seconds: f64, traced: bool) -> RunResult 
         let t0 = Instant::now();
         repeat_round(&cheap, &first, &mut times);
         rounds += 1;
+        setup_times.push(time_setup().0);
         let round_s = t0.elapsed().as_secs_f64();
         if rounds >= MIN_REPEATS && (traced || start.elapsed().as_secs_f64() + round_s > seconds) {
             break;
         }
     }
+    while setup_times.len() < SETUP_REPS {
+        setup_times.push(time_setup().0);
+    }
+    let setup_s = stats::median(&setup_times);
     for (pos, &i) in order.iter().enumerate() {
         let s = &samples[i];
         tally.add(check::check(&s.dfg, &cgra, &first[pos].1, &s.env));
@@ -171,7 +186,10 @@ pub fn run(params: &Params, seed: u64, seconds: f64, traced: bool) -> RunResult 
     out.cell("ii_sum", ii_sum.to_string());
     out.cell("ii_unstable_kernels", unstable.to_string());
     out.cell("failed_ratio", format!("{:.4}", out.failed_ratio()));
-    out.cell("setup_s", format!("{setup_s:.4}"));
+    out.cell(
+        "setup_s",
+        format!("{setup_s:.4} (median of {})", setup_times.len()),
+    );
     out.cell("peak_rss_mb", format!("{rss:.1}"));
     out.cell(
         "samples",
@@ -186,8 +204,7 @@ pub fn run(params: &Params, seed: u64, seconds: f64, traced: bool) -> RunResult 
     );
 
     if traced {
-        let (per_layer, tracer) =
-            traced_pass(&cgra, &service, &samples, &order, &first, tally.mismatched);
+        let (per_layer, tracer) = traced_pass(&cgra, &service, &samples, &order, tally.mismatched);
         out.per_layer = per_layer;
         out.per_layer.extend([
             metric("solve_tail_ms", solve.tail, "ms"),
@@ -200,14 +217,15 @@ pub fn run(params: &Params, seed: u64, seconds: f64, traced: bool) -> RunResult 
 }
 
 /// The traced pass: every sample again, with spans around the layer
-/// calls and an observer on the solve. Returns the per-layer metrics
-/// and the spans.
+/// calls and an observer on the solve, each next to an untraced twin of
+/// the same calls (which of the two goes first alternates), so
+/// `trace.overhead_pct` prices the spans and the observer and nothing
+/// else. Returns the per-layer metrics and the spans.
 fn traced_pass(
     cgra: &Cgra,
     service: &MappingService,
     samples: &[Sample],
     order: &[usize],
-    untraced: &[(f64, MapReport)],
     mismatched: usize,
 ) -> (Vec<Metric>, Tracer) {
     let epoch = Instant::now();
@@ -216,9 +234,22 @@ fn traced_pass(
     let mut found = 0usize;
     let mut limit_reached = 0usize;
     let mut reports = Vec::with_capacity(order.len());
-    for &i in order {
+    let (mut untraced_s, mut traced_s) = (0.0, 0.0);
+    for (pos, &i) in order.iter().enumerate() {
         let s = &samples[i];
         let id = i as u64;
+        let untraced = || {
+            let t0 = Instant::now();
+            black_box(s.dfg.canonical_form());
+            black_box(cgra_sched::min_ii(&s.dfg, cgra));
+            let report = service.map(&s.request);
+            black_box(check::check(&s.dfg, cgra, &report, &s.env));
+            t0.elapsed().as_secs_f64()
+        };
+        if pos % 2 == 0 {
+            untraced_s += untraced();
+        }
+        let t0 = Instant::now();
         let root = t.begin("sample", None, id);
         t.span("dfg.canon", root, id, || s.dfg.canonical_form());
         t.span("sched.min_ii", root, id, || {
@@ -240,6 +271,10 @@ fn traced_pass(
                     _ => {}
                 }
             }
+        }
+        traced_s += t0.elapsed().as_secs_f64();
+        if pos % 2 == 1 {
+            untraced_s += untraced();
         }
         reports.push(report);
     }
@@ -269,8 +304,6 @@ fn traced_pass(
         probe_hits += usize::from(matches!(probe, CacheProbe::Hit(_)));
     }
 
-    let untraced_s: f64 = untraced.iter().map(|(s, _)| s).sum();
-    let traced_s: f64 = t.durations("core.map").iter().sum();
     let us = |name| stats::median(&t.durations(name)) * 1e6;
     let refs: Vec<&MapReport> = reports.iter().collect();
     let mut m = core_metrics(&refs, attempts, found, limit_reached);

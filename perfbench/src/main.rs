@@ -2,14 +2,15 @@
 //! workloads, the metrics and what each layer metric should move.
 //!
 //! ```text
-//! perfbench [--workload cold-4x4|cold-20x20|daemon-mix] [--seed N]
+//! perfbench --workload cold-4x4|cold-20x20|daemon-mix [--seed N]
 //!           [--seconds S] [--trace 0|1] [--monomapd PATH]
 //! ```
 //!
-//! Without `--workload` every workload runs in turn. Each prints its
-//! summary row, then, as the last line of standard output, one JSON
-//! object: `correct`, `attempted`, `failed` and `metrics` (the gated
-//! end-to-end metrics untraced, the per-layer metrics traced).
+//! One workload per process, so peak RSS is the workload's own
+//! (`run.py` runs each in turn). It prints its summary row, then, as
+//! the last line of standard output, one JSON object: `correct`,
+//! `attempted`, `failed` and `metrics` (the gated end-to-end metrics
+//! untraced, the per-layer metrics traced).
 
 mod check;
 mod cold;
@@ -83,7 +84,7 @@ pub const PER_LAYER: [(&str, &str); 39] = [
 ];
 
 struct Args {
-    workload: Option<String>,
+    workload: String,
     seed: u64,
     seconds: f64,
     trace: bool,
@@ -91,8 +92,9 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut workload = None;
     let mut args = Args {
-        workload: None,
+        workload: String::new(),
         seed: 1,
         seconds: 25.0,
         trace: false,
@@ -107,7 +109,7 @@ fn parse_args() -> Result<Args, String> {
                 if !WORKLOADS.contains(&w.as_str()) {
                     return Err(format!("unknown workload `{w}` (one of {WORKLOADS:?})"));
                 }
-                args.workload = Some(w);
+                workload = Some(w);
             }
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--seconds" => {
@@ -127,6 +129,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    args.workload =
+        workload.ok_or_else(|| format!("--workload is required (one of {WORKLOADS:?})"))?;
     Ok(args)
 }
 
@@ -214,42 +218,32 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let names: Vec<&str> = match &args.workload {
-        Some(w) => vec![w.as_str()],
-        None => WORKLOADS.to_vec(),
-    };
     // Everything runs on one CPU, the daemon included: on a shared
     // machine that removes migrations and cross-CPU wake-ups from the
     // timings.
     let cpu = daemon::last_cpu().filter(|cpu| daemon::pin_self(cpu));
-    let mut lines = Vec::new();
-    for name in names {
-        let mut result = run_workload(name, &args, cpu.as_deref());
-        result.cell("cpu", cpu.as_deref().unwrap_or("any"));
-        if let Some(why) = &result.first_failure {
-            eprintln!("perfbench: {name}: {} failed, first: {why}", result.failed);
-        }
-        if args.trace {
-            write_spans(name, args.seed, &result.spans);
-        }
-        let mut row = format!(
-            "{name:<11} seed={} trace={}",
-            args.seed,
-            u8::from(args.trace)
-        );
-        for (label, value) in &result.row {
-            let _ = write!(row, " | {label}={value}");
-        }
-        println!("{row}");
-        let json = if args.trace {
-            result_json(&result, &PER_LAYER, &result.per_layer)
-        } else {
-            result_json(&result, &END_TO_END, &result.end_to_end)
-        };
-        lines.push(json);
+    let name = args.workload.as_str();
+    let mut result = run_workload(name, &args, cpu.as_deref());
+    result.cell("cpu", cpu.as_deref().unwrap_or("any"));
+    if let Some(why) = &result.first_failure {
+        eprintln!("perfbench: {name}: {} failed, first: {why}", result.failed);
     }
-    for line in lines {
-        println!("{line}");
+    if args.trace {
+        write_spans(name, args.seed, &result.spans);
+    }
+    let mut row = format!(
+        "{name:<11} seed={} trace={}",
+        args.seed,
+        u8::from(args.trace)
+    );
+    for (label, value) in &result.row {
+        let _ = write!(row, " | {label}={value}");
+    }
+    println!("{row}");
+    if args.trace {
+        println!("{}", result_json(&result, &PER_LAYER, &result.per_layer));
+    } else {
+        println!("{}", result_json(&result, &END_TO_END, &result.end_to_end));
     }
     ExitCode::SUCCESS
 }

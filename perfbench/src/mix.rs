@@ -7,6 +7,8 @@
 //! sources to `POST /compile` and never-seen keys (a small kernel aimed
 //! at another grid) that miss, solve, and append to the disk log.
 //! Every request is timed from its due time, not from when it was sent.
+//! The fixed hit rate is a share of the hit capacity probed at set-up;
+//! the reasons for each rate and share are in `perfbench/README.md`.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -36,23 +38,44 @@ use crate::rng::Rng;
 use crate::stats::{self, label, summarize};
 use crate::trace::Tracer;
 
-/// Numberings per warmed kernel the hit thread cycles through.
+/// Numberings per warmed kernel the hit thread cycles through, the
+/// suite's own first: 7 of every 8 hits go through a non-identity
+/// translation, and each of the 136 distinct hit requests is verified
+/// once after the run.
 const NUMBERINGS: usize = 8;
-/// Set-ups (fresh directory, daemon boot, cache warm-up) per run;
-/// `setup_s` is their median and the last one is measured.
-const SETUP_REPS: usize = 3;
-/// The workload's fixed hit rate, per second.
-const FIXED_RATE: f64 = 1000.0;
-/// Step rates for `max_rps`, as multiples of the fixed rate.
+/// Set-ups (inputs, fresh directory, daemon boot, cache warm-up,
+/// capacity probe) before the measured phase, the last of them the
+/// daemon measured, and after it; `setup_s` is the median of all of
+/// them, so it samples the machine on both sides of the run.
+const SETUPS_BEFORE: usize = 2;
+const SETUPS_AFTER: usize = 2;
+/// The set-up whose daemon is measured.
+const MEASURED: usize = SETUPS_BEFORE - 1;
+/// The capacity probe: bursts of hits sent back to back on one
+/// connection; the capacity is the median burst's rate, so one stall
+/// of the machine does not set the run's load.
+const PROBE_BURSTS: usize = 5;
+const PROBE_BURST: usize = 400;
+/// The fixed hit rate as a share of the probed capacity.
+const FIXED_LOAD: f64 = 0.25;
+/// Step rates for `max_rps`, as multiples of the fixed rate (the last
+/// is 0.75 of the probed capacity, ~0.9 with the other thread's share:
+/// near saturation, where `max_rps` finds the knee).
 const STEPS: [f64; 4] = [1.5, 2.0, 2.5, 3.0];
 /// Share of the run spent at the fixed rate (the rest is the steps).
-const FIXED_SHARE: f64 = 0.5;
-/// The other thread's rate as a share of the hit rate.
+const FIXED_SHARE: f64 = 0.75;
+/// Non-hit requests per hit.
 const OTHER_SHARE: f64 = 0.1;
-/// Share of the other thread's requests that are never-seen keys.
+/// Share of the non-hit requests that are never-seen keys.
 const MISS_SHARE: f64 = 0.2;
 /// The hit tail a step rate must meet to count towards `max_rps`.
 const HIT_TAIL_LIMIT_MS: f64 = 10.0;
+/// A segment has fallen behind its schedule when the median send
+/// lateness over its last tenth exceeds this: a backlog that kept
+/// growing, not a stall the generator caught up from.
+const BEHIND_LIMIT_MS: f64 = 10.0;
+/// `Sent::step` and `Sent::segment` of the capacity probe's requests.
+const PROBE: usize = usize::MAX;
 
 /// Two of each, the machine's core count (one of each measured slower
 /// and noisier).
@@ -94,21 +117,13 @@ pub fn latency_from_due(due: Instant, done: Instant) -> Duration {
     done.saturating_duration_since(due)
 }
 
-/// Waits until `due`: sleeps to within [`SPIN`] of it, then yields.
+/// Waits until `due`, yielding the CPU: the generator never sleeps, so
+/// the CPU it shares with the daemon never idles between requests.
 fn wait_until(due: Instant) {
-    let now = Instant::now();
-    if due > now + SPIN {
-        std::thread::sleep(due - now - SPIN);
-    }
     while Instant::now() < due {
         std::thread::yield_now();
     }
 }
-
-/// How close to a due time the generator stops sleeping: sleeps
-/// overshoot by ~70 us (the default 50 us timer slack plus wake-up),
-/// and spinning longer would take a core from the daemon.
-const SPIN: Duration = Duration::from_micros(200);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kind {
@@ -131,6 +146,9 @@ struct Item {
 
 struct Sent {
     item: usize,
+    /// Index of the segment in the thread's schedule.
+    segment: usize,
+    /// 0 for the fixed rate, `k` for step `k`.
     step: usize,
     due: Instant,
     sent: Instant,
@@ -139,7 +157,6 @@ struct Sent {
 }
 
 struct Inputs {
-    warm: Vec<Item>,
     hits: Vec<Item>,
     others: Vec<Item>,
 }
@@ -194,7 +211,10 @@ fn miss_items(count: usize, rng: &mut Rng) -> Vec<Item> {
         .collect()
 }
 
-fn generate(seed: u64, others: usize) -> Inputs {
+/// The warm-up requests (every suite kernel in the suite's numbering)
+/// and the hit requests (every kernel in [`NUMBERINGS`] numberings, in
+/// seeded order).
+fn generate_hits(seed: u64) -> (Vec<Item>, Vec<Item>) {
     let rng = Rng::new(seed);
     let cgra = Cgra::new(4, 4).expect("daemon default grid");
     let mut warm = Vec::new();
@@ -214,25 +234,31 @@ fn generate(seed: u64, others: usize) -> Inputs {
             hits.push(map_item(Kind::Hit, req, cgra.clone(), env));
         }
     }
-    let mut order_rng = rng.fork(u64::MAX);
-    order_rng.shuffle(&mut hits);
-    let sources = corpus::sources();
-    let mut misses = miss_items(
-        (others as f64 * MISS_SHARE).ceil() as usize + 1,
-        &mut rng.fork(7777),
-    );
+    rng.fork(u64::MAX).shuffle(&mut hits);
+    (warm, hits)
+}
+
+/// The other thread's first `count` requests: `.mk` `sources` for
+/// `/compile` and, at [`MISS_SHARE`], never-seen keys. A longer list
+/// for the same seed starts with the shorter one.
+fn generate_others(seed: u64, count: usize, sources: &[(String, String)]) -> Vec<Item> {
+    let rng = Rng::new(seed);
+    let cgra = Cgra::new(4, 4).expect("daemon default grid");
+    let mut order_rng = rng.fork(u64::MAX - 1);
+    // As many as there could be draws, so none runs out.
+    let mut misses = miss_items(count, &mut rng.fork(7777));
     misses.reverse();
-    let mut other_items = Vec::with_capacity(others);
-    for i in 0..others {
+    let mut others = Vec::with_capacity(count);
+    for i in 0..count {
         if order_rng.unit() < MISS_SHARE {
             if let Some(m) = misses.pop() {
-                other_items.push(m);
+                others.push(m);
                 continue;
             }
         }
         let (_, src) = &sources[i % sources.len()];
         let dfg = monomap_frontend::compile_one(src).expect("corpus kernel compiles");
-        other_items.push(Item {
+        others.push(Item {
             kind: Kind::Compile,
             path: "/compile",
             body: src.as_bytes().into(),
@@ -242,11 +268,17 @@ fn generate(seed: u64, others: usize) -> Inputs {
             dfg,
         });
     }
-    Inputs {
-        warm,
-        hits,
-        others: other_items,
-    }
+    others
+}
+
+/// Requests the other thread sends in a run at fixed hit rate `rate`,
+/// with room to spare (the traced run adds an untraced fixed-rate
+/// baseline).
+fn other_count(rate: f64, seconds: f64, traced: bool) -> usize {
+    let mean_step = STEPS.iter().sum::<f64>() / STEPS.len() as f64;
+    let per_s = rate * OTHER_SHARE * (FIXED_SHARE + (1.0 - FIXED_SHARE) * mean_step);
+    let traced_extra = if traced { 1.0 + FIXED_SHARE } else { 1.0 };
+    (per_s * seconds * traced_extra).ceil() as usize + 8
 }
 
 fn cache_dir(rep: usize) -> PathBuf {
@@ -301,6 +333,75 @@ fn boot_and_warm(
     Ok(daemon)
 }
 
+/// One set-up: the inputs, a booted and warmed daemon, and its probed
+/// hit capacity.
+struct Setup {
+    daemon: Daemon,
+    inputs: Inputs,
+    /// Hits per second answered back to back on one connection.
+    capacity: f64,
+    /// The probe's requests, to be checked with the rest.
+    probe: Vec<Sent>,
+}
+
+/// Generates the inputs, boots and warms a daemon on the fresh
+/// directory `cache_dir(rep)`, probes its hit capacity, and sizes the
+/// other thread's requests for the fixed rate that capacity gives.
+fn set_up(
+    bin: &str,
+    cpus: Option<&str>,
+    rep: usize,
+    seed: u64,
+    seconds: f64,
+    traced: bool,
+    tally: &mut Tally,
+) -> std::io::Result<Setup> {
+    let (warm, hits) = generate_hits(seed);
+    let daemon = boot_and_warm(bin, cpus, &cache_dir(rep), &warm, tally)?;
+    let (capacity, probe) = probe_capacity(daemon.addr, &hits);
+    let others = generate_others(
+        seed,
+        other_count(capacity * FIXED_LOAD, seconds, traced),
+        &corpus::sources(),
+    );
+    Ok(Setup {
+        daemon,
+        inputs: Inputs { hits, others },
+        capacity,
+        probe,
+    })
+}
+
+/// Sends [`PROBE_BURSTS`] bursts of [`PROBE_BURST`] hits back to back
+/// on one connection; returns the median burst's hits answered per
+/// second and the requests sent.
+fn probe_capacity(addr: SocketAddr, hits: &[Item]) -> (f64, Vec<Sent>) {
+    let mut conn = Conn::new(addr);
+    let mut sent = Vec::with_capacity(PROBE_BURSTS * PROBE_BURST);
+    let mut rates = Vec::with_capacity(PROBE_BURSTS);
+    for burst in 0..PROBE_BURSTS {
+        let t0 = Instant::now();
+        let mut answered = 0;
+        for i in 0..PROBE_BURST {
+            let item = (burst * PROBE_BURST + i) % hits.len();
+            let at = Instant::now();
+            let outcome = send(&mut conn, &hits[item]);
+            answered += usize::from(outcome.is_ok());
+            sent.push(Sent {
+                item,
+                segment: PROBE,
+                step: PROBE,
+                due: at,
+                sent: at,
+                done: Instant::now(),
+                outcome,
+            });
+        }
+        rates.push(answered as f64 / t0.elapsed().as_secs_f64());
+    }
+    (stats::median(&rates), sent)
+}
+
 fn send(conn: &mut Conn, item: &Item) -> Result<Response, String> {
     conn.request("POST", item.path, &item.body)
         .map_err(|e| format!("{}: {e}", item.path))
@@ -327,7 +428,7 @@ fn drive(
     let mut conn = Conn::new(addr);
     let mut out = Vec::new();
     let mut next = offset;
-    for &(step, planned) in steps {
+    for (segment, &(step, planned)) in steps.iter().enumerate() {
         // A backlog left by an overloaded segment is not charged to the
         // next one: each segment starts once the previous one is done.
         let sched = Schedule {
@@ -360,6 +461,7 @@ fn drive(
             }
             out.push(Sent {
                 item,
+                segment,
                 step,
                 due,
                 sent,
@@ -376,10 +478,11 @@ struct Phase {
     others: Vec<Sent>,
 }
 
-/// Runs the fixed rate and, when `ladder`, the step rates.
+/// Runs the fixed hit rate `rate` and, when `ladder`, the step rates.
 fn run_phase(
     addr: SocketAddr,
     inputs: &Inputs,
+    rate: f64,
     seconds: f64,
     ladder: bool,
     other_offset: usize,
@@ -393,18 +496,18 @@ fn run_phase(
         let fixed = seconds * FIXED_SHARE / STEPS.len() as f64;
         let each = seconds * (1.0 - FIXED_SHARE) / STEPS.len() as f64;
         for (k, m) in STEPS.iter().enumerate() {
-            segments.push((0, FIXED_RATE, fixed));
-            segments.push((k + 1, FIXED_RATE * m, each));
+            segments.push((0, rate, fixed));
+            segments.push((k + 1, rate * m, each));
         }
     } else {
-        segments.push((0, FIXED_RATE, seconds));
+        segments.push((0, rate, seconds));
     }
     let mut at = Instant::now() + Duration::from_millis(20);
     let mut hit_steps = Vec::new();
     let mut other_steps = Vec::new();
-    for (step, rate, secs) in segments {
-        hit_steps.push((step, Schedule::new(at, rate, secs)));
-        other_steps.push((step, Schedule::new(at, rate * OTHER_SHARE, secs)));
+    for (step, segment_rate, secs) in segments {
+        hit_steps.push((step, Schedule::new(at, segment_rate, secs)));
+        other_steps.push((step, Schedule::new(at, segment_rate * OTHER_SHARE, secs)));
         at += Duration::from_secs_f64(secs);
     }
     let [hit_tracer, other_tracer] = tracers;
@@ -449,11 +552,22 @@ struct Checked {
 
 impl Checked {
     /// Checks every response; identical bodies for one item are
-    /// verified once and their verdict applies to every copy.
+    /// verified once and their verdict applies to every copy. Every
+    /// request of a fixed-rate segment that fell behind its schedule
+    /// fails: the open loop did not hold, so its timings are invalid.
     fn all(&mut self, sent: &[Sent], items: &[Item]) {
+        let behind = fell_behind(sent);
         let mut seen: BTreeMap<(usize, Arc<[u8]>), Verdict> = BTreeMap::new();
         for s in sent {
             self.tally.checked += 1;
+            if let Some(late) = behind.get(&s.segment).filter(|_| s.step == 0) {
+                self.tally.fail(format!(
+                    "fixed-rate segment {} fell behind its schedule: \
+                     median lateness {late:.1} ms over its last tenth",
+                    s.segment
+                ));
+                continue;
+            }
             let item = &items[s.item];
             let r = match &s.outcome {
                 Ok(r) => r,
@@ -551,27 +665,51 @@ fn latencies(sent: &[Sent], items: &[Item], kind: Kind, step: Option<usize>) -> 
         .collect()
 }
 
+/// The segments of `sent` that fell behind their schedule, with the
+/// median send lateness (ms) over the last tenth of each.
+fn fell_behind(sent: &[Sent]) -> BTreeMap<usize, f64> {
+    let mut lateness: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+    for s in sent.iter().filter(|s| s.segment != PROBE) {
+        lateness
+            .entry(s.segment)
+            .or_default()
+            .push(ms(s.sent.saturating_duration_since(s.due)));
+    }
+    lateness
+        .into_iter()
+        .filter_map(|(segment, late)| {
+            let tenth = &late[late.len() - late.len().div_ceil(10)..];
+            let median = stats::median(tenth);
+            (median > BEHIND_LIMIT_MS).then_some((segment, median))
+        })
+        .collect()
+}
+
 /// The highest step rate whose hit tail meets [`HIT_TAIL_LIMIT_MS`]
-/// without a growing backlog (the step's last request sent on time to
-/// within the same limit), and a per-step summary.
-fn max_rps(phase: &Phase, items: &[Item]) -> (f64, String) {
+/// without falling behind its schedule (0 when none does), and a
+/// summary of every segment kind, the fixed rate first.
+fn max_rps(phase: &Phase, items: &[Item], rate: f64) -> (f64, String) {
+    let behind = fell_behind(&phase.hits);
     let mut best = 0.0f64;
     let mut cells = Vec::new();
     for step in 0..=STEPS.len() {
         let tail = summarize(&latencies(&phase.hits, items, Kind::Hit, Some(step))).tail;
-        let rate = FIXED_RATE * if step == 0 { 1.0 } else { STEPS[step - 1] };
-        let late_at_end = phase
+        let step_rate = rate * if step == 0 { 1.0 } else { STEPS[step - 1] };
+        let on_time = !phase
             .hits
             .iter()
-            .rfind(|x| x.step == step)
-            .map_or(0.0, |x| ms(x.sent.saturating_duration_since(x.due)));
-        let ok = tail <= HIT_TAIL_LIMIT_MS && late_at_end <= HIT_TAIL_LIMIT_MS;
-        if ok {
-            best = best.max(rate);
+            .any(|s| s.step == step && behind.contains_key(&s.segment));
+        let ok = tail <= HIT_TAIL_LIMIT_MS && on_time;
+        if ok && step > 0 {
+            best = best.max(step_rate);
         }
         cells.push(format!(
-            "{rate:.0}/s:{tail:.2}ms{}",
-            if ok { "" } else { "(over)" }
+            "{step_rate:.0}/s:{tail:.2}ms{}",
+            match (on_time, ok) {
+                (false, _) => "(behind)",
+                (true, false) => "(over)",
+                _ => "",
+            }
         ));
     }
     (best, cells.join(","))
@@ -582,48 +720,59 @@ fn max_rps(phase: &Phase, items: &[Item]) -> (f64, String) {
 /// runs, with cross-CPU wake-ups).
 pub fn run(bin: &str, cpu: Option<&str>, seed: u64, seconds: f64, traced: bool) -> RunResult {
     let mut checked = Checked::default();
-    let mean_step = STEPS.iter().sum::<f64>() / STEPS.len() as f64;
-    let other_rate = FIXED_RATE * OTHER_SHARE * (FIXED_SHARE + (1.0 - FIXED_SHARE) * mean_step);
-    let traced_extra = if traced { 1.0 + FIXED_SHARE } else { 1.0 };
-    let other_count = (other_rate * seconds * traced_extra).ceil() as usize + 8;
-
     let mut setup_times = Vec::new();
-    let mut booted: Option<(Daemon, Inputs)> = None;
-    for rep in 0..SETUP_REPS {
+    let mut capacities = Vec::new();
+    let mut probes = Vec::new();
+    let mut timed_set_up = |rep: usize, tally: &mut Tally| {
         let t0 = Instant::now();
-        let inputs = generate(seed, other_count);
-        let daemon = boot_and_warm(bin, cpu, &cache_dir(rep), &inputs.warm, &mut checked.tally);
-        setup_times.push(t0.elapsed().as_secs_f64());
-        let daemon = match daemon {
-            Ok(d) => d,
+        match set_up(bin, cpu, rep, seed, seconds, traced, tally) {
+            Ok(setup) => {
+                setup_times.push(t0.elapsed().as_secs_f64());
+                capacities.push(setup.capacity);
+                setup
+            }
             Err(e) => {
                 eprintln!("perfbench: cannot run {bin}: {e}");
-                drop(booted);
-                for r in 0..=rep {
-                    let _ = std::fs::remove_dir_all(cache_dir(r));
-                }
+                let _ = std::fs::remove_dir_all(cache_dir(rep));
                 std::process::exit(1);
             }
-        };
-        if let Some((previous, _)) = booted.replace((daemon, inputs)) {
-            previous.stop();
-            let _ = std::fs::remove_dir_all(cache_dir(rep - 1));
         }
+    };
+    // Each daemon is stopped before the next boots, so none is left
+    // running if a boot fails.
+    let mut setup = timed_set_up(0, &mut checked.tally);
+    for rep in 1..SETUPS_BEFORE {
+        setup.daemon.stop();
+        let _ = std::fs::remove_dir_all(cache_dir(rep - 1));
+        probes.push(setup.probe);
+        setup = timed_set_up(rep, &mut checked.tally);
     }
-    let setup_s = stats::median(&setup_times);
-    let (daemon, inputs) = booted.expect("at least one set-up");
+    let Setup {
+        daemon,
+        inputs,
+        capacity,
+        probe,
+    } = setup;
+    probes.push(probe);
+    let rate = capacity * FIXED_LOAD;
     let addr = daemon.addr;
 
-    // The traced run first repeats the fixed-rate step untraced, to
-    // price tracing against.
+    // The traced run first prices tracing at the fixed rate: untraced,
+    // traced, then untraced again, so that drift over time cancels.
     let epoch = Instant::now();
+    let mut pricing: Vec<(bool, Phase)> = Vec::new();
+    let mut offset = 0;
+    if traced {
+        let quarter = seconds * FIXED_SHARE / 4.0;
+        for (on, secs) in [(false, quarter), (true, 2.0 * quarter), (false, quarter)] {
+            let mut t = [Tracer::new(on, epoch), Tracer::new(on, epoch)];
+            let p = run_phase(addr, &inputs, rate, secs, false, offset, &mut t);
+            offset += p.others.len();
+            pricing.push((on, p));
+        }
+    }
     let mut tracers = [Tracer::new(traced, epoch), Tracer::new(traced, epoch)];
-    let baseline = traced.then(|| {
-        let mut off = [Tracer::new(false, epoch), Tracer::new(false, epoch)];
-        run_phase(addr, &inputs, seconds * FIXED_SHARE, false, 0, &mut off)
-    });
-    let offset = baseline.as_ref().map_or(0, |b| b.others.len());
-    let phase = run_phase(addr, &inputs, seconds, true, offset, &mut tracers);
+    let phase = run_phase(addr, &inputs, rate, seconds, true, offset, &mut tracers);
     let [mut tracer, other_tracer] = tracers;
     tracer.absorb(other_tracer);
     if traced {
@@ -637,10 +786,20 @@ pub fn run(bin: &str, cpu: Option<&str>, seed: u64, seconds: f64, traced: bool) 
     let server = stats_of(addr).unwrap_or_default();
     let daemon_rss = peak_rss_mib(&daemon.pid().to_string());
     let printed = daemon.stop();
+    for rep in SETUPS_BEFORE..SETUPS_BEFORE + SETUPS_AFTER {
+        let after = timed_set_up(rep, &mut checked.tally);
+        after.daemon.stop();
+        let _ = std::fs::remove_dir_all(cache_dir(rep));
+        probes.push(after.probe);
+    }
+    let setup_s = stats::median(&setup_times);
 
-    for p in std::iter::once(&phase).chain(baseline.as_ref()) {
+    for p in std::iter::once(&phase).chain(pricing.iter().map(|(_, p)| p)) {
         checked.all(&p.hits, &inputs.hits);
         checked.all(&p.others, &inputs.others);
+    }
+    for probe in &probes {
+        checked.all(probe, &inputs.hits);
     }
     let mut out = RunResult {
         attempted: checked.tally.checked,
@@ -663,7 +822,7 @@ pub fn run(bin: &str, cpu: Option<&str>, seed: u64, seconds: f64, traced: bool) 
         Kind::Miss,
         Some(0),
     ));
-    let (max_rps, steps) = max_rps(&phase, &inputs.hits);
+    let (max_rps, steps) = max_rps(&phase, &inputs.hits, rate);
     let fixed: Vec<&Sent> = phase.hits.iter().filter(|s| s.step == 0).collect();
     let late = summarize(
         &fixed
@@ -709,8 +868,22 @@ pub fn run(bin: &str, cpu: Option<&str>, seed: u64, seconds: f64, traced: bool) 
     out.cell("max_rps", format!("{max_rps:.0}"));
     out.cell("ii_sum", ii_sum.to_string());
     out.cell("failed_ratio", format!("{:.4}", out.failed_ratio()));
-    out.cell("setup_s", format!("{setup_s:.4}"));
+    out.cell(
+        "setup_s",
+        format!("{setup_s:.4} (median of {})", setup_times.len()),
+    );
     out.cell("peak_rss_mb", format!("{daemon_rss:.1}"));
+    out.cell(
+        "capacity",
+        format!(
+            "{capacity:.0}/s probed (set-ups: {}), fixed rate {rate:.0}/s",
+            capacities
+                .iter()
+                .map(|c| format!("{c:.0}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        ),
+    );
     out.cell("steps", steps);
     out.cell(
         "gen_late_ms",
@@ -720,12 +893,14 @@ pub fn run(bin: &str, cpu: Option<&str>, seed: u64, seconds: f64, traced: bool) 
     out.cell("daemon_stdout", format!("{} lines drained", printed.len()));
 
     if traced {
-        let base_hit = summarize(&latencies(
-            &baseline.as_ref().expect("traced").hits,
-            &inputs.hits,
-            Kind::Hit,
-            None,
-        ));
+        let pricing_p50 = |on: bool| {
+            let hits: Vec<f64> = pricing
+                .iter()
+                .filter(|(o, _)| *o == on)
+                .flat_map(|(_, p)| latencies(&p.hits, &inputs.hits, Kind::Hit, None))
+                .collect();
+            summarize(&hits).p50
+        };
         let mut m = layer_metrics(&inputs, &checked, &mut tracer);
         let hit_ratio =
             server.cache.hits as f64 / (server.cache.hits + server.cache.misses).max(1) as f64;
@@ -758,7 +933,7 @@ pub fn run(bin: &str, cpu: Option<&str>, seed: u64, seconds: f64, traced: bool) 
             metric("max_rps", max_rps, "1/s"),
             metric(
                 "trace.overhead_pct",
-                (hit.p50 / base_hit.p50 - 1.0) * 100.0,
+                (pricing_p50(true) / pricing_p50(false) - 1.0) * 100.0,
                 "%",
             ),
             metric("trace.spans", tracer.len() as f64, "count"),
@@ -766,7 +941,7 @@ pub fn run(bin: &str, cpu: Option<&str>, seed: u64, seconds: f64, traced: bool) 
         out.per_layer = m;
         out.spans = tracer.to_jsonl();
     }
-    let _ = std::fs::remove_dir_all(cache_dir(SETUP_REPS - 1));
+    let _ = std::fs::remove_dir_all(cache_dir(MEASURED));
     out
 }
 
@@ -795,8 +970,7 @@ fn layer_metrics(inputs: &Inputs, checked: &Checked, t: &mut Tracer) -> Vec<Metr
     }
     // The daemon's cache, replayed from its disk log into an in-process
     // service, probed with the same hit requests.
-    let log =
-        DiskLog::open(cache_dir(SETUP_REPS - 1), 65536).expect("the daemon's cache log reopens");
+    let log = DiskLog::open(cache_dir(MEASURED), 65536).expect("the daemon's cache log reopens");
     let mut tiers = TieredCache::new(MapCache::new(4096));
     tiers.push_store(Box::new(log));
     let cached = CachedMappingService::with_tiers(MappingService::new(&home), tiers);
@@ -877,6 +1051,66 @@ mod tests {
         assert_eq!(s.due(400) - t0, Duration::from_secs(1));
         assert_eq!(s.due(1) - t0, Duration::from_micros(2500));
         assert_eq!(s.due(s.count) - t0, Duration::from_millis(2500));
+    }
+
+    fn sent(segment: usize, due: Instant, late_us: u64) -> Sent {
+        let sent = due + Duration::from_micros(late_us);
+        Sent {
+            item: 0,
+            segment,
+            step: 0,
+            due,
+            sent,
+            done: sent,
+            outcome: Err(String::new()),
+        }
+    }
+
+    #[test]
+    fn a_growing_backlog_falls_behind_and_a_stall_caught_up_from_does_not() {
+        let t0 = Instant::now();
+        let s = Schedule::new(t0, 1000.0, 1.0);
+        let mut log = Vec::new();
+        for i in 0..s.count as u64 {
+            // Segment 0: a 50 ms stall at request 100, caught up by 150.
+            let stall = if (100..150).contains(&i) {
+                (150 - i) * 1000
+            } else {
+                0
+            };
+            log.push(sent(0, s.due(i as usize), stall));
+            // Segment 1: each request is sent 50 us later than the last.
+            log.push(sent(1, s.due(i as usize), i * 50));
+            // Segment 2: a 30 ms stall in the last tenth.
+            let stall = if (960..990).contains(&i) {
+                (990 - i) * 1000
+            } else {
+                0
+            };
+            log.push(sent(2, s.due(i as usize), stall));
+        }
+        let behind = fell_behind(&log);
+        assert_eq!(behind.keys().copied().collect::<Vec<_>>(), vec![1]);
+        // The last tenth is requests 900..1000, sent 45..49.95 ms late.
+        assert!((behind[&1] - 47.5).abs() < 0.1, "{}", behind[&1]);
+    }
+
+    #[test]
+    fn a_longer_list_of_other_requests_starts_with_the_shorter() {
+        let sources: Vec<(String, String)> = ["bitcount", "crc32"]
+            .into_iter()
+            .map(|name| {
+                let src = monomap_frontend::emit(&cgra_dfg::suite::generate(name));
+                (name.to_string(), src.expect("suite kernels emit"))
+            })
+            .collect();
+        let short = generate_others(3, 40, &sources);
+        let long = generate_others(3, 90, &sources);
+        assert_eq!(short.len(), 40);
+        assert!(short.iter().any(|x| x.kind == Kind::Miss));
+        for (a, b) in short.iter().zip(&long) {
+            assert_eq!((a.kind, &a.body), (b.kind, &b.body));
+        }
     }
 
     #[test]

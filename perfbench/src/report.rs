@@ -2,8 +2,6 @@
 //! end-to-end metrics, the per-layer metrics, and a human-readable row
 //! in the metric names of `perfbench/README.md`.
 
-use std::time::Instant;
-
 use monomap_core::api::MapReport;
 
 #[derive(Clone, Debug)]
@@ -51,22 +49,6 @@ pub fn peak_rss_mib(pid: &str) -> f64 {
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map_or(0.0, |kib| kib / 1024.0)
-}
-
-/// Runs `f` `reps` times and returns the last result with the median
-/// wall time in seconds.
-pub fn timed_median<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        last = Some(f());
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    (
-        last.expect("at least one repetition"),
-        crate::stats::median(&times),
-    )
 }
 
 /// Solver metrics summed over `reports` (from their `MapStats`), with
