@@ -173,17 +173,6 @@ pub enum MapEvent {
         /// How the attempt ended.
         outcome: SpaceAttemptOutcome,
     },
-    /// The persistent incremental time solver proved an `(II, slack)`
-    /// level unsatisfiable by widening its live instance, so the fresh
-    /// per-level encode was skipped entirely (emitted only with
-    /// [`MapperConfig::time_incremental`] on, immediately before the
-    /// level's [`MapEvent::Escalated`]).
-    LevelReused {
-        /// The iteration interval of the reused solver.
-        ii: usize,
-        /// The window slack the live instance was widened to.
-        slack: usize,
-    },
     /// An `(II, slack)` level was exhausted and the search moved on
     /// (next slack, or next II after the last slack).
     Escalated {
@@ -658,11 +647,11 @@ pub fn run_request<R>(req: &MapRequest, f: impl FnOnce(CancelFlag) -> R) -> R {
         return f(req.cancel.clone().unwrap_or_default());
     };
     let engine_flag = CancelFlag::new();
-    // An already-expired deadline (zero, or negative on the wire) must
-    // time out deterministically: raise the flag before the engine
-    // starts rather than racing its first solve against the watchdog
-    // thread getting scheduled.
-    if deadline.is_zero() {
+    // An already-expired deadline (zero, or negative on the wire) or an
+    // already-raised caller flag must time out deterministically: raise
+    // the flag before the engine starts rather than racing its first
+    // solve against the watchdog thread getting scheduled.
+    if deadline.is_zero() || req.cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
         engine_flag.cancel();
         return f(engine_flag);
     }
@@ -975,6 +964,26 @@ mod tests {
         let json = serde_json::to_string(&err).unwrap();
         let back: MapReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, err);
+    }
+
+    #[test]
+    fn report_with_retired_screen_stats_still_decodes() {
+        // Reports written before the time phase lost its incremental
+        // screen (disk logs, peers running an older daemon) carry two
+        // stats fields this build no longer has: they are ignored.
+        let cgra = Cgra::new(2, 2).unwrap();
+        let ok = MappingService::new(&cgra)
+            .map(&MapRequest::new(EngineId::Decoupled, running_example()));
+        let json = serde_json::to_string(&ok).unwrap();
+        let iis = format!("\"iis_tried\":{},", ok.stats.iis_tried);
+        assert!(json.contains(&iis), "{json}");
+        let old = json.replacen(
+            &iis,
+            &format!("{iis}\"solver_reuses\":2,\"clauses_retained\":37,"),
+            1,
+        );
+        let back: MapReport = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, ok);
     }
 
     #[test]

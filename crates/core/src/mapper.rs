@@ -1,6 +1,6 @@
 //! The decoupled space/time mapper (paper §IV).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -12,8 +12,8 @@ use cgra_arch::{Cgra, MAX_ROUTE_HOPS};
 use cgra_dfg::Dfg;
 use cgra_iso::{MonoOutcome, SearchConfig, Searcher};
 use cgra_sched::{
-    ims_schedule, min_ii, unsupported_op_class, EnumerationEnd, IncrementalTimeSolver,
-    SolveOutcome, TimeSolution, TimeSolver, TimeSolverConfig, TimeSolverError,
+    ims_schedule, min_ii, unsupported_op_class, EnumerationEnd, SolveOutcome, TimeSolution,
+    TimeSolver, TimeSolverConfig, TimeSolverError,
 };
 
 use crate::api::{emit, MapEvent, MapObserver, SpaceAttemptOutcome};
@@ -124,9 +124,9 @@ pub struct MapStats {
     pub total_seconds: f64,
     /// Wall-clock spent in the SMT time search.
     pub time_phase_seconds: f64,
-    /// Wall-clock spent building or extending time-phase encodings:
-    /// fresh per-level encodes plus incremental widenings (decoupled
-    /// SMT strategy only; part of [`MapStats::time_phase_seconds`]).
+    /// Wall-clock spent building the fresh per-`(II, slack)` time-phase
+    /// encodings (decoupled SMT strategy only; part of
+    /// [`MapStats::time_phase_seconds`]).
     pub time_encode_seconds: f64,
     /// Wall-clock spent inside time-phase SAT solve calls (decoupled
     /// SMT strategy only; part of [`MapStats::time_phase_seconds`]).
@@ -144,15 +144,6 @@ pub struct MapStats {
     pub mono_steps: u64,
     /// Number of II values attempted.
     pub iis_tried: usize,
-    /// `(II, slack)` levels the persistent incremental time solver
-    /// proved unsatisfiable by widening its live instance, skipping the
-    /// fresh per-level encode entirely
-    /// ([`MapperConfig::time_incremental`]; decoupled engine only).
-    pub solver_reuses: usize,
-    /// Learnt clauses alive on the persistent solver at each reused
-    /// level, summed over reuses — the search state a from-scratch
-    /// rebuild would have discarded.
-    pub clauses_retained: u64,
     /// Window slack of the successful attempt.
     pub window_slack: usize,
     /// Which algorithm produced time solutions; `None` for engines
@@ -187,8 +178,6 @@ impl Default for MapStats {
             space_attempts: 0,
             mono_steps: 0,
             iis_tried: 0,
-            solver_reuses: 0,
-            clauses_retained: 0,
             window_slack: 0,
             time_strategy: None,
             space_parallelism: 1,
@@ -199,20 +188,10 @@ impl Default for MapStats {
     }
 }
 
-/// How one `(II, slack)` level of the SMT path ended.
-enum LevelOutcome {
-    /// A schedule embedded: the search is over.
-    Found(TimeSolution, Vec<usize>),
-    /// The time solver proved the level unsatisfiable before producing
-    /// a single schedule. Barren levels are where the incremental
-    /// UNSAT screen earns its keep: their (cheap) unsatisfiability
-    /// proofs are the only work the screen ever repeats.
-    BarrenUnsat,
-    /// The level ended without a mapping in any other way — schedules
-    /// that failed to embed, the enumeration cap, or a per-solve budget
-    /// running out. The II can no longer be screened incrementally.
-    Exhausted,
-}
+/// How one `(II, slack)` level ended: the winning
+/// `(schedule, monomorphism)`, or `None` when the level produced no
+/// mapping (the caller escalates).
+type LevelOutcome = Option<(TimeSolution, Vec<usize>)>;
 
 /// The mapper: SMT time solve, then monomorphism space solve, with
 /// fall-back enumeration and II escalation.
@@ -264,13 +243,6 @@ impl DecoupledMapper {
         self.cancel = Some(flag);
     }
 
-    /// Installs a cooperative cancellation flag from a raw shared
-    /// atomic.
-    #[deprecated(since = "0.1.0", note = "use `set_cancel(CancelFlag::from_arc(flag))`")]
-    pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.set_cancel(CancelFlag::from_arc(flag));
-    }
-
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled)
     }
@@ -290,13 +262,9 @@ impl DecoupledMapper {
     /// enumerator and races their monomorphism searches across worker
     /// threads; the first success cancels the rest.
     ///
-    /// With [`MapperConfig::time_incremental`] (the default), each II
-    /// keeps its unsatisfiable slack levels alive on one persistent
-    /// [`IncrementalTimeSolver`]: the next level is first widened onto
-    /// that instance, and a proved Unsat skips the fresh per-level
-    /// encode entirely. Levels that may carry schedules always run the
-    /// fresh path, so the produced mappings are byte-identical with the
-    /// switch on or off.
+    /// Every SMT level is one fresh encoding of that level's windows,
+    /// enumerated in place: the first schedule almost always embeds
+    /// (§IV-D), so nothing is carried from one level to the next.
     ///
     /// # Errors
     ///
@@ -366,146 +334,19 @@ impl DecoupledMapper {
             emit(obs, MapEvent::IiStarted { ii });
             // Targets for earlier IIs are never revisited.
             engine.retain_ii(ii);
-            // The II's persistent UNSAT screen: one live incremental
-            // solver retaining learnt clauses across slack levels. It
-            // exists only while every level of this II so far ended
-            // barren-Unsat; any level that produces a schedule (or times
-            // out) retires it, so the model-producing path below stays
-            // byte-identical to the always-rebuild mode.
-            let mut screen: Option<IncrementalTimeSolver<'_>> = None;
-            let mut all_barren = true;
             for slack in 0..=self.config.max_window_slack {
                 if self.cancelled() {
                     return Err(MapError::Timeout { ii });
                 }
-                let mut ts_config = TimeSolverConfig::for_cgra(&self.cgra)
-                    .with_window_slack(slack)
-                    .with_strict_connectivity(self.config.strict_connectivity)
-                    .with_capacity_constraints(self.config.capacity_constraints)
-                    .with_connectivity_constraints(self.config.connectivity_constraints);
-                if let Some(b) = &self.config.time_budget {
-                    ts_config = ts_config.with_budget(b.clone());
-                }
-
-                if self.config.time_strategy == TimeStrategy::Heuristic {
-                    // Heuristic time phase: one IMS attempt per
-                    // (II, slack) level, no enumeration (and nothing to
-                    // race in portfolio mode).
-                    let t0 = Instant::now();
-                    let sol = ims_schedule(dfg, ii, &ts_config);
-                    stats.time_phase_seconds += t0.elapsed().as_secs_f64();
-                    if let Some(sol) = sol {
-                        stats.time_solutions += 1;
-                        emit(obs, MapEvent::TimeSolutionFound { ii, slack });
-                        let t1 = Instant::now();
-                        let (space, steps) = engine.search(
-                            dfg,
-                            &sol,
-                            self.config.mono_step_limit,
-                            self.cancel.as_ref(),
-                        );
-                        stats.space_phase_seconds += t1.elapsed().as_secs_f64();
-                        stats.space_attempts += 1;
-                        stats.mono_steps += steps;
-                        emit(
-                            obs,
-                            MapEvent::SpaceAttempt {
-                                ii,
-                                slack,
-                                outcome: SpaceAttemptOutcome::from(&space),
-                            },
-                        );
-                        match space {
-                            SpaceOutcome::Found(map) => {
-                                return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
-                            }
-                            SpaceOutcome::Cancelled => return Err(MapError::Timeout { ii }),
-                            SpaceOutcome::Exhausted | SpaceOutcome::LimitReached => {}
-                        }
-                    }
-                    emit(obs, MapEvent::Escalated { ii, slack });
-                    continue;
-                }
-
-                // Ask the live instance first: widening it is a handful
-                // of guarded clause additions on a solver that already
-                // learnt why the narrower windows failed, and a proved
-                // Unsat skips the fresh encode below entirely.
-                if self.config.time_incremental && all_barren {
-                    if let Some(live) = screen.as_mut() {
-                        let t0 = Instant::now();
-                        live.widen_to(slack);
-                        let encode = t0.elapsed().as_secs_f64();
-                        stats.time_phase_seconds += encode;
-                        stats.time_encode_seconds += encode;
-                        let t1 = Instant::now();
-                        let screened = live.solve_outcome();
-                        let solve = t1.elapsed().as_secs_f64();
-                        stats.time_phase_seconds += solve;
-                        stats.time_solve_seconds += solve;
-                        match screened {
-                            SolveOutcome::Unsat => {
-                                stats.solver_reuses += 1;
-                                stats.clauses_retained += live.learnt_clauses() as u64;
-                                emit(obs, MapEvent::LevelReused { ii, slack });
-                                emit(obs, MapEvent::Escalated { ii, slack });
-                                continue;
-                            }
-                            SolveOutcome::Timeout if self.cancelled() => {
-                                return Err(MapError::Timeout { ii });
-                            }
-                            SolveOutcome::Solution(_) | SolveOutcome::Timeout => {
-                                // The level may have schedules (or the
-                                // budget ran out): retire the screen and
-                                // run the byte-identical fresh path.
-                                screen = None;
-                            }
-                        }
-                    }
-                }
-
-                let screen_config = ts_config.clone();
-                let outcome = if self.config.space_parallelism > 1 {
-                    self.portfolio_level(dfg, ii, slack, ts_config, &mut engine, &mut stats, obs)?
+                let level = if self.config.time_strategy == TimeStrategy::Heuristic {
+                    self.heuristic_level(dfg, ii, slack, &mut engine, &mut stats, obs)?
+                } else if self.config.space_parallelism > 1 {
+                    self.portfolio_level(dfg, ii, slack, &mut engine, &mut stats, obs)?
                 } else {
-                    self.serial_level(dfg, ii, slack, ts_config, &mut engine, &mut stats, obs)?
+                    self.serial_level(dfg, ii, slack, &mut engine, &mut stats, obs)?
                 };
-                match outcome {
-                    LevelOutcome::Found(sol, map) => {
-                        return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
-                    }
-                    LevelOutcome::BarrenUnsat => {
-                        if self.config.time_incremental && all_barren && screen.is_none() {
-                            // Build the screen now that the II has shown
-                            // a barren level, and seed-solve it: the
-                            // fresh proof was cheap, re-deriving it here
-                            // is too, and it leaves the learnt clauses
-                            // the next widening starts from.
-                            let t0 = Instant::now();
-                            let mut live = IncrementalTimeSolver::new(dfg, ii, screen_config)
-                                .expect("the fresh level already validated this instance");
-                            if let Some(flag) = &self.cancel {
-                                live.set_cancel_flag(flag.arc());
-                            }
-                            let encode = t0.elapsed().as_secs_f64();
-                            stats.time_phase_seconds += encode;
-                            stats.time_encode_seconds += encode;
-                            let t1 = Instant::now();
-                            let seeded = live.solve_outcome();
-                            let solve = t1.elapsed().as_secs_f64();
-                            stats.time_phase_seconds += solve;
-                            stats.time_solve_seconds += solve;
-                            // The fresh level proved this exact formula
-                            // Unsat; the seed can at worst run out of a
-                            // per-solve budget, never find a model.
-                            debug_assert!(!matches!(seeded, SolveOutcome::Solution(_)));
-                            screen = Some(live);
-                        }
-                    }
-                    LevelOutcome::Exhausted => {
-                        all_barren = false;
-                        screen = None;
-                    }
+                if let Some((sol, map)) = level {
+                    return Ok(self.finish(dfg, &sol, map, ii, slack, start, stats));
                 }
                 emit(obs, MapEvent::Escalated { ii, slack });
             }
@@ -513,15 +354,32 @@ impl DecoupledMapper {
         Err(MapError::NoSolution { mii, max_ii })
     }
 
-    /// Builds the time solver for one `(II, slack)` level, with the
-    /// user's cancellation flag installed.
+    /// The time-phase configuration of one window-slack level.
+    fn time_config(&self, slack: usize) -> TimeSolverConfig {
+        let config = TimeSolverConfig::for_cgra(&self.cgra)
+            .with_window_slack(slack)
+            .with_strict_connectivity(self.config.strict_connectivity)
+            .with_capacity_constraints(self.config.capacity_constraints)
+            .with_connectivity_constraints(self.config.connectivity_constraints);
+        match &self.config.time_budget {
+            Some(b) => config.with_budget(b.clone()),
+            None => config,
+        }
+    }
+
+    /// Encodes the time solver for one `(II, slack)` level, with the
+    /// user's cancellation flag installed, charging the encode to
+    /// `stats`.
     fn level_solver<'d>(
         &self,
         dfg: &'d Dfg,
         ii: usize,
-        ts_config: TimeSolverConfig,
+        slack: usize,
+        stats: &mut MapStats,
     ) -> Result<TimeSolver<'d>, MapError> {
-        let mut solver = match TimeSolver::new(dfg, ii, ts_config) {
+        let config = self.time_config(slack);
+        let t0 = Instant::now();
+        let mut solver = match TimeSolver::new(dfg, ii, config) {
             Ok(s) => s,
             Err(TimeSolverError::Dfg(e)) => return Err(MapError::InvalidDfg(e)),
             Err(_) => unreachable!("ii and capacity are positive"),
@@ -529,90 +387,107 @@ impl DecoupledMapper {
         if let Some(flag) = &self.cancel {
             solver.set_cancel_flag(flag.arc());
         }
+        let encode = t0.elapsed().as_secs_f64();
+        stats.time_phase_seconds += encode;
+        stats.time_encode_seconds += encode;
         Ok(solver)
+    }
+
+    /// Counts one schedule of an `(II, slack)` level and runs its
+    /// monomorphism search on the II's cached target, with the search's
+    /// statistics and [`MapEvent::SpaceAttempt`]. Returns the
+    /// monomorphism when the schedule embeds; user cancellation is a
+    /// [`MapError::Timeout`].
+    #[allow(clippy::too_many_arguments)]
+    fn try_embed(
+        &self,
+        dfg: &Dfg,
+        ii: usize,
+        slack: usize,
+        sol: &TimeSolution,
+        engine: &mut SpaceEngine<'_>,
+        stats: &mut MapStats,
+        obs: Option<&dyn MapObserver>,
+    ) -> Result<Option<Vec<usize>>, MapError> {
+        stats.time_solutions += 1;
+        emit(obs, MapEvent::TimeSolutionFound { ii, slack });
+        let t0 = Instant::now();
+        let (space, steps) =
+            engine.search(dfg, sol, self.config.mono_step_limit, self.cancel.as_ref());
+        stats.space_phase_seconds += t0.elapsed().as_secs_f64();
+        stats.space_attempts += 1;
+        stats.mono_steps += steps;
+        emit(
+            obs,
+            MapEvent::SpaceAttempt {
+                ii,
+                slack,
+                outcome: SpaceAttemptOutcome::from(&space),
+            },
+        );
+        match space {
+            SpaceOutcome::Found(map) => Ok(Some(map)),
+            SpaceOutcome::Cancelled => Err(MapError::Timeout { ii }),
+            SpaceOutcome::Exhausted | SpaceOutcome::LimitReached => Ok(None),
+        }
+    }
+
+    /// The heuristic `(II, slack)` level: one IMS attempt, no
+    /// enumeration (and nothing to race in portfolio mode).
+    fn heuristic_level(
+        &self,
+        dfg: &Dfg,
+        ii: usize,
+        slack: usize,
+        engine: &mut SpaceEngine<'_>,
+        stats: &mut MapStats,
+        obs: Option<&dyn MapObserver>,
+    ) -> Result<LevelOutcome, MapError> {
+        let config = self.time_config(slack);
+        let t0 = Instant::now();
+        let sol = ims_schedule(dfg, ii, &config);
+        stats.time_phase_seconds += t0.elapsed().as_secs_f64();
+        let Some(sol) = sol else {
+            return Ok(None);
+        };
+        let map = self.try_embed(dfg, ii, slack, &sol, engine, stats, obs)?;
+        Ok(map.map(|map| (sol, map)))
     }
 
     /// The serial (deterministic) `(II, slack)` level: interleaves SMT
     /// enumeration with one monomorphism search per schedule, exactly in
     /// enumeration order.
     ///
-    /// Returns [`LevelOutcome::Found`] with the winning
-    /// `(schedule, monomorphism)`, or how the level ended otherwise
-    /// (the caller escalates either way).
-    #[allow(clippy::too_many_arguments)]
+    /// Ends the level at the first schedule that embeds (the caller
+    /// escalates otherwise).
     fn serial_level(
         &self,
         dfg: &Dfg,
         ii: usize,
         slack: usize,
-        ts_config: TimeSolverConfig,
         engine: &mut SpaceEngine<'_>,
         stats: &mut MapStats,
         obs: Option<&dyn MapObserver>,
     ) -> Result<LevelOutcome, MapError> {
-        let t0 = Instant::now();
-        let mut solver = self.level_solver(dfg, ii, ts_config)?;
-        let encode = t0.elapsed().as_secs_f64();
-        stats.time_phase_seconds += encode;
-        stats.time_encode_seconds += encode;
-        let t1 = Instant::now();
-        let mut outcome = solver.solve_outcome();
-        let solve = t1.elapsed().as_secs_f64();
-        stats.time_phase_seconds += solve;
-        stats.time_solve_seconds += solve;
-
+        let mut solver = self.level_solver(dfg, ii, slack, stats)?;
+        let mut outcome = timed_solve(stats, || solver.solve_outcome());
         let mut tries = 0usize;
-        loop {
-            match outcome {
-                SolveOutcome::Solution(sol) => {
-                    tries += 1;
-                    stats.time_solutions += 1;
-                    emit(obs, MapEvent::TimeSolutionFound { ii, slack });
-                    let t1 = Instant::now();
-                    let (space, steps) =
-                        engine.search(dfg, &sol, self.config.mono_step_limit, self.cancel.as_ref());
-                    stats.space_phase_seconds += t1.elapsed().as_secs_f64();
-                    stats.space_attempts += 1;
-                    stats.mono_steps += steps;
-                    emit(
-                        obs,
-                        MapEvent::SpaceAttempt {
-                            ii,
-                            slack,
-                            outcome: SpaceAttemptOutcome::from(&space),
-                        },
-                    );
-                    match space {
-                        SpaceOutcome::Found(map) => return Ok(LevelOutcome::Found(sol, map)),
-                        SpaceOutcome::Cancelled => return Err(MapError::Timeout { ii }),
-                        SpaceOutcome::Exhausted | SpaceOutcome::LimitReached => {}
-                    }
-                    if tries >= self.config.max_time_solutions {
-                        return Ok(LevelOutcome::Exhausted);
-                    }
-                    let t2 = Instant::now();
-                    outcome = solver.next_outcome();
-                    let solve = t2.elapsed().as_secs_f64();
-                    stats.time_phase_seconds += solve;
-                    stats.time_solve_seconds += solve;
-                }
-                SolveOutcome::Unsat => {
-                    return Ok(if tries == 0 {
-                        LevelOutcome::BarrenUnsat
-                    } else {
-                        LevelOutcome::Exhausted
-                    });
-                }
-                SolveOutcome::Timeout => {
-                    // User cancellation aborts the whole search; a
-                    // per-solve budget running out only ends this level.
-                    if self.cancelled() {
-                        return Err(MapError::Timeout { ii });
-                    }
-                    return Ok(LevelOutcome::Exhausted);
-                }
+        while let SolveOutcome::Solution(sol) = outcome {
+            tries += 1;
+            if let Some(map) = self.try_embed(dfg, ii, slack, &sol, engine, stats, obs)? {
+                return Ok(Some((sol, map)));
             }
+            if tries >= self.config.max_time_solutions {
+                return Ok(None);
+            }
+            outcome = timed_solve(stats, || solver.next_outcome());
         }
+        // User cancellation aborts the whole search; a per-solve budget
+        // running out only ends this level.
+        if matches!(outcome, SolveOutcome::Timeout) && self.cancelled() {
+            return Err(MapError::Timeout { ii });
+        }
+        Ok(None)
     }
 
     /// The portfolio `(II, slack)` level: pulls up to
@@ -626,40 +501,29 @@ impl DecoupledMapper {
     /// than all `max_time_solutions` up front: the common case (the
     /// first schedule embeds, per the paper's §IV-D argument) then pays
     /// for one small batch of SMT solves, not the whole enumeration cap.
-    #[allow(clippy::too_many_arguments)]
     fn portfolio_level(
         &self,
         dfg: &Dfg,
         ii: usize,
         slack: usize,
-        ts_config: TimeSolverConfig,
         engine: &mut SpaceEngine<'_>,
         stats: &mut MapStats,
         obs: Option<&dyn MapObserver>,
     ) -> Result<LevelOutcome, MapError> {
-        let t_enc = Instant::now();
-        let mut solver = self.level_solver(dfg, ii, ts_config)?;
-        let encode = t_enc.elapsed().as_secs_f64();
-        stats.time_phase_seconds += encode;
-        stats.time_encode_seconds += encode;
+        let mut solver = self.level_solver(dfg, ii, slack, stats)?;
         let mut remaining = self.config.max_time_solutions;
-        let mut pulled = 0usize;
         loop {
             if self.cancelled() {
                 return Err(MapError::Timeout { ii });
             }
             let batch_cap = self.config.space_parallelism.min(remaining);
             if batch_cap == 0 {
-                return Ok(LevelOutcome::Exhausted);
+                return Ok(None);
             }
-            let t0 = Instant::now();
-            let (solutions, batch_end) = solver.enumerate_solutions(batch_cap);
-            let solve = t0.elapsed().as_secs_f64();
-            stats.time_phase_seconds += solve;
-            stats.time_solve_seconds += solve;
+            let (solutions, batch_end) =
+                timed_solve(stats, || solver.enumerate_solutions(batch_cap));
             stats.time_solutions += solutions.len();
             remaining -= solutions.len();
-            pulled += solutions.len();
 
             if !solutions.is_empty() {
                 for _ in &solutions {
@@ -689,7 +553,7 @@ impl DecoupledMapper {
                     },
                 );
                 if let Some((idx, map)) = winner {
-                    return Ok(LevelOutcome::Found(solutions[idx].clone(), map));
+                    return Ok(Some((solutions[idx].clone(), map)));
                 }
                 if self.cancelled() {
                     return Err(MapError::Timeout { ii });
@@ -697,13 +561,7 @@ impl DecoupledMapper {
             }
             match batch_end {
                 EnumerationEnd::CapReached => continue,
-                EnumerationEnd::Unsat => {
-                    return Ok(if pulled == 0 {
-                        LevelOutcome::BarrenUnsat
-                    } else {
-                        LevelOutcome::Exhausted
-                    });
-                }
+                EnumerationEnd::Unsat => return Ok(None),
                 EnumerationEnd::Timeout => {
                     // The flag may have been raised while the SMT solve
                     // was blocked: user cancellation aborts, a per-solve
@@ -712,7 +570,7 @@ impl DecoupledMapper {
                     if self.cancelled() {
                         return Err(MapError::Timeout { ii });
                     }
-                    return Ok(LevelOutcome::Exhausted);
+                    return Ok(None);
                 }
             }
         }
@@ -859,6 +717,17 @@ impl DecoupledMapper {
     }
 }
 
+/// Runs one time-phase solve call, charging it to the solve share of
+/// the time phase.
+fn timed_solve<T>(stats: &mut MapStats, solve: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = solve();
+    let elapsed = t0.elapsed().as_secs_f64();
+    stats.time_phase_seconds += elapsed;
+    stats.time_solve_seconds += elapsed;
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -949,16 +818,6 @@ mod tests {
         let flag = CancelFlag::new();
         flag.cancel();
         mapper.set_cancel(flag);
-        assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_set_cancel_flag_shim_still_works() {
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = running_example();
-        let mut mapper = DecoupledMapper::new(&cgra);
-        mapper.set_cancel_flag(Arc::new(AtomicBool::new(true)));
         assert!(matches!(mapper.map(&dfg), Err(MapError::Timeout { .. })));
     }
 
@@ -1246,8 +1105,7 @@ mod tests {
     }
 
     /// One producer feeding `k` same-slot consumers: connectivity-bound,
-    /// so low IIs burn through barren-Unsat slack levels — the shape the
-    /// incremental UNSAT screen exists for.
+    /// so low IIs burn through Unsat slack levels.
     fn star_k(k: usize) -> Dfg {
         let mut b = DfgBuilder::new();
         let x = b.input("x");
@@ -1256,115 +1114,6 @@ mod tests {
             b.unary(format!("k{i}"), Op::Not, c);
         }
         b.build().unwrap()
-    }
-
-    #[test]
-    fn incremental_screen_skips_barren_levels() {
-        // star6 on a 2x2: II 2 is connectivity-infeasible at every
-        // slack, so after the barren (2, 0) level the live instance
-        // proves (2, 1) and (2, 2) Unsat by widening.
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = star_k(6);
-        let on = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
-        assert_eq!(on.stats.solver_reuses, 2, "{:?}", on.stats);
-        assert!(on.stats.clauses_retained > 0, "reuses carry learnt state");
-
-        let cfg = MapperConfig::new().with_time_incremental(false);
-        let off = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-        assert_eq!(off.stats.solver_reuses, 0, "rebuild mode never screens");
-        assert_eq!(off.stats.clauses_retained, 0);
-        // The screen only ever skips Unsat proofs: the mapping and the
-        // search trajectory the stats describe are identical.
-        assert_eq!(
-            serde_json::to_string(&on.mapping).unwrap(),
-            serde_json::to_string(&off.mapping).unwrap()
-        );
-        assert_eq!(on.stats.time_solutions, off.stats.time_solutions);
-        assert_eq!(on.stats.space_attempts, off.stats.space_attempts);
-        assert_eq!(on.stats.mono_steps, off.stats.mono_steps);
-        assert_eq!(on.stats.window_slack, off.stats.window_slack);
-    }
-
-    #[test]
-    fn incremental_and_rebuild_mappings_are_byte_identical() {
-        let cgra = Cgra::new(5, 5).unwrap();
-        for name in ["susan", "gsm", "bitcount"] {
-            let dfg = suite::generate(name);
-            let on = DecoupledMapper::new(&cgra).map(&dfg).unwrap();
-            let cfg = MapperConfig::new().with_time_incremental(false);
-            let off = DecoupledMapper::with_config(&cgra, cfg).map(&dfg).unwrap();
-            assert_eq!(
-                serde_json::to_string(&on.mapping).unwrap(),
-                serde_json::to_string(&off.mapping).unwrap(),
-                "{name}: the screen must not change the mapping"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_screen_emits_level_reused_events() {
-        use crate::api::EventCollector;
-        use std::sync::Arc;
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = star_k(6);
-        let collector = Arc::new(EventCollector::new());
-        let result = DecoupledMapper::new(&cgra)
-            .map_observed(&dfg, Some(collector.as_ref()))
-            .unwrap();
-        let events = collector.events();
-        let reused: Vec<_> = events
-            .iter()
-            .filter(|e| matches!(e, MapEvent::LevelReused { .. }))
-            .collect();
-        assert_eq!(reused.len(), result.stats.solver_reuses);
-        // Every reuse is immediately followed by its level's Escalated.
-        for (i, e) in events.iter().enumerate() {
-            if let MapEvent::LevelReused { ii, slack } = e {
-                assert_eq!(
-                    events.get(i + 1),
-                    Some(&MapEvent::Escalated {
-                        ii: *ii,
-                        slack: *slack
-                    })
-                );
-            }
-        }
-        // Rebuild mode emits none.
-        let collector = Arc::new(EventCollector::new());
-        let cfg = MapperConfig::new().with_time_incremental(false);
-        DecoupledMapper::with_config(&cgra, cfg)
-            .map_observed(&dfg, Some(collector.as_ref()))
-            .unwrap();
-        assert!(collector
-            .events()
-            .iter()
-            .all(|e| !matches!(e, MapEvent::LevelReused { .. })));
-    }
-
-    #[test]
-    fn budget_exhaustion_escalates_identically_with_screen_on_and_off() {
-        // Satellite regression: a time budget running out mid-search
-        // must escalate exactly like the from-scratch path, whether or
-        // not the incremental screen is enabled.
-        use cgra_smt::Budget;
-        let cgra = Cgra::new(2, 2).unwrap();
-        let dfg = star_k(6);
-        for budget in [Budget::conflicts(0), Budget::conflicts(4)] {
-            let on = MapperConfig::new()
-                .with_max_ii(4)
-                .with_time_budget(budget.clone());
-            let off = on.clone().with_time_incremental(false);
-            let a = DecoupledMapper::with_config(&cgra, on).map(&dfg);
-            let b = DecoupledMapper::with_config(&cgra, off).map(&dfg);
-            match (&a, &b) {
-                (Ok(x), Ok(y)) => assert_eq!(
-                    serde_json::to_string(&x.mapping).unwrap(),
-                    serde_json::to_string(&y.mapping).unwrap()
-                ),
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                _ => panic!("screened {a:?} vs rebuild {b:?} diverged"),
-            }
-        }
     }
 
     #[test]

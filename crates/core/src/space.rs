@@ -7,9 +7,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cgra_arch::{Cgra, Mrrg, RoutingModel};
-use cgra_base::CancelFlag;
+use cgra_base::{CancelFlag, DenseBitSet};
 use cgra_dfg::Dfg;
-use cgra_iso::{BitSet, MonoOutcome, Pattern, SearchConfig, Searcher, Target};
+use cgra_iso::{MonoOutcome, Pattern, SearchConfig, Searcher, Target};
 use cgra_sched::TimeSolution;
 
 /// Builds the undirected labelled pattern graph from the DFG and its
@@ -72,7 +72,7 @@ fn build_target_with_routing(cgra: &Cgra, ii: usize, routing: &RoutingModel) -> 
     let mut tier0 = Vec::with_capacity(total);
     for slot in 0..ii {
         for pe in cgra.pes() {
-            let mut row = BitSet::new(total);
+            let mut row = DenseBitSet::new(total);
             for other in 0..ii {
                 if other != slot {
                     row.insert(other * n + pe.index());
@@ -86,7 +86,7 @@ fn build_target_with_routing(cgra: &Cgra, ii: usize, routing: &RoutingModel) -> 
         let mut tier = Vec::with_capacity(total);
         for _slot in 0..ii {
             for pe in cgra.pes() {
-                let mut row = BitSet::new(total);
+                let mut row = DenseBitSet::new(total);
                 for other in 0..ii {
                     let base = other * n;
                     for q in routing.tier(pe, d).iter() {

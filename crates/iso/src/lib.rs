@@ -42,11 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitset;
 mod graph;
 mod search;
 
-pub use bitset::BitSet;
 pub use cgra_base::CancelFlag;
 pub use graph::{Pattern, Target};
 pub use search::{

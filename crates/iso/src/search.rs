@@ -2,9 +2,9 @@
 
 use std::time::Instant;
 
-use cgra_base::CancelFlag;
+use cgra_base::{CancelFlag, DenseBitSet};
 
-use crate::{BitSet, Pattern, Target};
+use crate::{Pattern, Target};
 
 /// How many search steps pass between deadline/cancellation polls.
 ///
@@ -112,15 +112,15 @@ pub struct Searcher<'a> {
     order: Vec<usize>,
     /// Base candidate sets (label + degree compatible) per pattern
     /// vertex.
-    base: Vec<BitSet>,
+    base: Vec<DenseBitSet>,
     /// Per-depth candidate domains of the DFS (reused across runs).
-    domains: Vec<BitSet>,
+    domains: Vec<DenseBitSet>,
     /// Per-depth scan cursors into `domains`.
     cursors: Vec<usize>,
     /// Partial map under construction (`usize::MAX` = unmapped).
     map: Vec<usize>,
     /// Target vertices used by the partial map.
-    used: BitSet,
+    used: DenseBitSet,
     stats: MonoStats,
 }
 
@@ -153,7 +153,7 @@ impl<'a> Searcher<'a> {
         let mut base = Vec::with_capacity(np);
         for u in 0..np {
             let req = pattern.requirement(u);
-            let mut s = BitSet::new(nt);
+            let mut s = DenseBitSet::new(nt);
             for t in 0..nt {
                 if target.label(t) == pattern.label(u)
                     && target.degree(t) >= pattern.degree(u)
@@ -192,10 +192,10 @@ impl<'a> Searcher<'a> {
             config,
             order,
             base,
-            domains: (0..np).map(|_| BitSet::new(nt)).collect(),
+            domains: (0..np).map(|_| DenseBitSet::new(nt)).collect(),
             cursors: vec![0; np],
             map: vec![usize::MAX; np],
-            used: BitSet::new(nt),
+            used: DenseBitSet::new(nt),
             stats: MonoStats::default(),
         }
     }
@@ -342,19 +342,19 @@ impl<'a> Searcher<'a> {
     /// resulting domain is empty, so the caller backtracks without a
     /// separate occupancy scan.
     ///
-    /// The fused [`BitSet::assign_difference`] / [`BitSet::intersect_any`]
+    /// The fused [`DenseBitSet::assign_difference`] / [`DenseBitSet::intersect_any`]
     /// passes track occupancy bitwise alongside the stores; a domain
     /// that empties mid-way skips the remaining row intersections
     /// (empty is absorbing).
     #[allow(clippy::too_many_arguments)]
     fn fill_domain(
-        dom: &mut BitSet,
-        base: &BitSet,
+        dom: &mut DenseBitSet,
+        base: &DenseBitSet,
         pattern: &Pattern,
         target: &Target,
         u: usize,
         map: &[usize],
-        used: &BitSet,
+        used: &DenseBitSet,
     ) -> bool {
         let mut any = dom.assign_difference(base, used);
         for &w in pattern.neighbors(u) {
@@ -386,7 +386,7 @@ pub fn is_monomorphism(pattern: &Pattern, target: &Target, map: &[usize]) -> boo
         return false;
     }
     // mono1: injectivity.
-    let mut seen = BitSet::new(target.num_vertices());
+    let mut seen = DenseBitSet::new(target.num_vertices());
     for &t in map {
         if t >= target.num_vertices() || seen.contains(t) {
             return false;

@@ -12,11 +12,9 @@
 //!   paper's three constraint families (modulo-scheduling dependences,
 //!   CGRA capacity, CGRA connectivity), encoded through [`cgra_smt`] and
 //!   decided by the `cgra-sat` CDCL core, with solution enumeration for
-//!   the mapper's fall-back path,
-//! * [`IncrementalTimeSolver`] — the same formulation kept live on one
-//!   CDCL instance per `(DFG, II)`: slack escalation widens windows via
-//!   assumption-guarded clause additions instead of rebuilding, so
-//!   learnt clauses and branching activity carry across levels.
+//!   the mapper's fall-back path. Each `(II, slack)` level is encoded
+//!   fresh: a level is one formula, built once and enumerated in place,
+//!   as in the paper.
 //!
 //! ## Example
 //!
@@ -39,14 +37,12 @@
 #![warn(missing_docs)]
 
 mod heuristic;
-mod incremental;
 mod kms;
 mod mii;
 mod mobility;
 mod time_solver;
 
 pub use heuristic::ims_schedule;
-pub use incremental::IncrementalTimeSolver;
 pub use kms::{Kms, KmsEntry};
 pub use mii::{min_ii, rec_ii, res_ii, unsupported_op_class};
 pub use mobility::Mobility;

@@ -105,139 +105,6 @@ impl FdSolver {
         v
     }
 
-    /// Creates an integer variable whose at-least-one constraint is
-    /// conditioned on `guard`.
-    ///
-    /// Like [`FdSolver::new_int`], except that the "some value must be
-    /// taken" clause becomes `guard → (l₀ ∨ l₁ ∨ …)`; the at-most-one
-    /// side stays unconditional (holding vacuously when no value is
-    /// taken). Solving with `guard` assumed reproduces the plain
-    /// `new_int` semantics, while leaving `guard` free keeps the
-    /// variable optional — the hook on which [`FdSolver::extend_int`]
-    /// builds incremental domain widening.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domain is empty.
-    pub fn new_int_guarded<I>(&mut self, domain: I, guard: Lit) -> IntVar
-    where
-        I: IntoIterator<Item = i64>,
-    {
-        let mut values: Vec<i64> = domain.into_iter().collect();
-        values.sort_unstable();
-        values.dedup();
-        assert!(
-            !values.is_empty(),
-            "integer variable needs a non-empty domain"
-        );
-        let lits: Vec<Lit> = values.iter().map(|_| self.sat.new_var().pos()).collect();
-        let mut alo = Vec::with_capacity(lits.len() + 1);
-        alo.push(!guard);
-        alo.extend_from_slice(&lits);
-        self.sat.add_clause(alo);
-        cardinality::at_most_one(&mut self.sat, &lits);
-        let v = IntVar(self.vars.len() as u32);
-        self.vars.push(IntVarData {
-            domain: values,
-            lits,
-        });
-        v
-    }
-
-    /// Widens the domain of `v` with values strictly above its current
-    /// maximum, re-guarding the at-least-one constraint on `guard`.
-    ///
-    /// This is the monotone widening step of incremental solving: the
-    /// new values get fresh indicator literals, pairwise at-most-one
-    /// clauses against every existing indicator keep the exactly-one
-    /// invariant, and a new clause `guard → (all indicators)` covers the
-    /// grown domain. The previous guard (from [`FdSolver::new_int_guarded`]
-    /// or an earlier `extend_int`) should be permanently negated by the
-    /// caller once it stops being assumed — its at-least-one clause is
-    /// then vacuously satisfied and the new one takes over. Nothing is
-    /// removed or rebuilt, so learnt clauses in the SAT core stay valid.
-    ///
-    /// Returns the number of values actually added (duplicates of
-    /// existing values are not permitted — see Panics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any new value is not strictly greater than the current
-    /// domain maximum (widening must be append-only so existing
-    /// indicator indices stay stable).
-    pub fn extend_int<I>(&mut self, v: IntVar, new_values: I, guard: Lit) -> usize
-    where
-        I: IntoIterator<Item = i64>,
-    {
-        let mut values: Vec<i64> = new_values.into_iter().collect();
-        values.sort_unstable();
-        values.dedup();
-        let current_max = *self.vars[v.index()]
-            .domain
-            .last()
-            .expect("domains are never empty");
-        assert!(
-            values.first().is_none_or(|&first| first > current_max),
-            "extend_int must append values strictly above the current maximum"
-        );
-        let added = values.len();
-        let new_lits: Vec<Lit> = values.iter().map(|_| self.sat.new_var().pos()).collect();
-        // At-most-one across the grown domain: the old encoding already
-        // covers old×old pairs, so only pairs touching a new literal are
-        // missing.
-        for (i, &nl) in new_lits.iter().enumerate() {
-            for &ol in &self.vars[v.index()].lits {
-                self.sat.add_clause([!ol, !nl]);
-            }
-            for &nl2 in &new_lits[i + 1..] {
-                self.sat.add_clause([!nl, !nl2]);
-            }
-        }
-        let data = &mut self.vars[v.index()];
-        data.domain.extend_from_slice(&values);
-        data.lits.extend_from_slice(&new_lits);
-        let mut alo = Vec::with_capacity(data.lits.len() + 1);
-        alo.push(!guard);
-        alo.extend_from_slice(&data.lits);
-        self.sat.add_clause(alo);
-        added
-    }
-
-    /// Like [`FdSolver::require_binary`], but only over value pairs that
-    /// involve a domain index of `a` at or beyond `from_a`, or of `b` at
-    /// or beyond `from_b`.
-    ///
-    /// After [`FdSolver::extend_int`] grows a domain, passing the
-    /// pre-extension lengths here adds exactly the clauses the original
-    /// `require_binary` call would now emit on top of what it already
-    /// did — the incremental delta.
-    pub fn require_binary_from<F>(
-        &mut self,
-        a: IntVar,
-        b: IntVar,
-        from_a: usize,
-        from_b: usize,
-        pred: F,
-    ) where
-        F: Fn(i64, i64) -> bool,
-    {
-        let mut forbidden = Vec::new();
-        {
-            let da = &self.vars[a.index()];
-            let db = &self.vars[b.index()];
-            for (ia, &va) in da.domain.iter().enumerate() {
-                for (ib, &vb) in db.domain.iter().enumerate() {
-                    if (ia >= from_a || ib >= from_b) && !pred(va, vb) {
-                        forbidden.push((da.lits[ia], db.lits[ib]));
-                    }
-                }
-            }
-        }
-        for (la, lb) in forbidden {
-            self.sat.add_clause([!la, !lb]);
-        }
-    }
-
     /// Creates a fresh free Boolean literal.
     pub fn new_bool(&mut self) -> Lit {
         self.sat.new_var().pos()
@@ -407,13 +274,6 @@ impl FdSolver {
         budget: &Budget,
     ) -> SatResult {
         self.sat.solve_limited(assumptions, budget)
-    }
-
-    /// When the last assumption solve returned Unsat, the subset of
-    /// assumption literals (negated) proven contradictory (see
-    /// [`cgra_sat::Solver::unsat_core`]).
-    pub fn unsat_core(&self) -> &[Lit] {
-        self.sat.unsat_core()
     }
 
     /// Installs a cooperative cancellation flag (see
@@ -609,124 +469,13 @@ mod tests {
     }
 
     #[test]
-    fn guarded_int_behaves_like_plain_under_its_guard() {
-        let mut fd = FdSolver::new();
-        let g = fd.new_bool();
-        let x = fd.new_int_guarded(0..3, g);
-        fd.require_unary(x, |v| v == 2);
-        // Guard off: x may take no value at all — satisfiable.
-        assert_eq!(fd.solve_with_assumptions(&[!g]), SatResult::Sat);
-        // Guard on: x must take a value, and only 2 remains.
-        assert_eq!(fd.solve_with_assumptions(&[g]), SatResult::Sat);
-        assert_eq!(fd.value(x), 2);
-    }
-
-    #[test]
-    fn extend_int_widens_monotonically() {
-        // Start with a window that is too tight, then widen it on the
-        // same instance instead of rebuilding.
-        let mut fd = FdSolver::new();
-        let g0 = fd.new_bool();
-        let x = fd.new_int_guarded(0..3, g0);
-        let y = fd.new_int_guarded(0..3, g0);
-        fd.require_binary(x, y, |a, b| b >= a + 3);
-        assert_eq!(fd.solve_with_assumptions(&[g0]), SatResult::Unsat);
-        assert!(fd.unsat_core().iter().all(|&l| l == !g0));
-        // Widen y to 0..6 under a fresh guard; retire g0 permanently.
-        let g1 = fd.new_bool();
-        let old_len = fd.domain(y).len();
-        assert_eq!(fd.extend_int(y, 3..6, g1), 3);
-        fd.extend_int(x, std::iter::empty(), g1);
-        fd.add_clause([!g0]);
-        fd.require_binary_from(x, y, old_len, old_len, |a, b| b >= a + 3);
-        assert_eq!(fd.domain(y), &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(fd.solve_with_assumptions(&[g1]), SatResult::Sat);
-        let (vx, vy) = (fd.value(x), fd.value(y));
-        assert!(vy >= vx + 3, "x={vx} y={vy}");
-    }
-
-    #[test]
-    fn extend_int_keeps_at_most_one() {
-        let mut fd = FdSolver::new();
-        let g0 = fd.new_bool();
-        let x = fd.new_int_guarded([0, 1], g0);
-        let g1 = fd.new_bool();
-        fd.extend_int(x, [2, 3], g1);
-        fd.add_clause([!g0]);
-        // No pair of indicators may hold together, across old and new.
-        let lits: Vec<Lit> = fd.indicator_lits(x).map(|(_, l)| l).collect();
-        for i in 0..lits.len() {
-            for j in (i + 1)..lits.len() {
-                assert_eq!(
-                    fd.solve_with_assumptions(&[g1, lits[i], lits[j]]),
-                    SatResult::Unsat,
-                    "values {i} and {j} held together"
-                );
-            }
-        }
-        // Every single value is still reachable.
-        for (val, l) in fd.indicator_lits(x).collect::<Vec<_>>() {
-            assert_eq!(fd.solve_with_assumptions(&[g1, l]), SatResult::Sat);
-            assert_eq!(fd.value(x), val);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly above")]
-    fn extend_int_rejects_non_appending_values() {
-        let mut fd = FdSolver::new();
-        let g = fd.new_bool();
-        let x = fd.new_int_guarded(0..3, g);
-        fd.extend_int(x, [2, 5], g);
-    }
-
-    #[test]
-    fn require_binary_from_adds_exactly_the_delta() {
-        // Full-domain require_binary on one solver vs incremental
-        // base + delta on another must accept/reject the same pairs.
-        let reference = {
-            let mut fd = FdSolver::new();
-            let x = fd.new_int(0..5);
-            let y = fd.new_int(0..5);
-            fd.require_binary(x, y, |a, b| a + b != 4);
-            let mut pairs = Vec::new();
-            while fd.solve() == SatResult::Sat {
-                pairs.push((fd.value(x), fd.value(y)));
-                fd.block_current(&[x, y]);
-            }
-            pairs.sort_unstable();
-            pairs
-        };
-        let incremental = {
-            let mut fd = FdSolver::new();
-            let g0 = fd.new_bool();
-            let x = fd.new_int_guarded(0..3, g0);
-            let y = fd.new_int_guarded(0..3, g0);
-            fd.require_binary(x, y, |a, b| a + b != 4);
-            let g1 = fd.new_bool();
-            fd.extend_int(x, 3..5, g1);
-            fd.extend_int(y, 3..5, g1);
-            fd.add_clause([!g0]);
-            fd.require_binary_from(x, y, 3, 3, |a, b| a + b != 4);
-            let mut pairs = Vec::new();
-            while fd.solve_with_assumptions(&[g1]) == SatResult::Sat {
-                pairs.push((fd.value(x), fd.value(y)));
-                fd.block_current(&[x, y]);
-            }
-            pairs.sort_unstable();
-            pairs
-        };
-        assert_eq!(reference, incremental);
-    }
-
-    #[test]
     fn assumption_budget_reports_unknown() {
         let mut fd = FdSolver::new();
         let g = fd.new_bool();
-        let xs: Vec<IntVar> = (0..6).map(|_| fd.new_int_guarded(0..5, g)).collect();
+        let xs: Vec<IntVar> = (0..6).map(|_| fd.new_int(0..5)).collect();
         for i in 0..xs.len() {
             for j in (i + 1)..xs.len() {
-                fd.require_binary(xs[i], xs[j], |a, b| a != b);
+                fd.require_binary_if(g, xs[i], xs[j], |a, b| a != b);
             }
         }
         let r = fd.solve_with_assumptions_limited(&[g], &Budget::conflicts(0));

@@ -9,16 +9,12 @@
 #    (-> BENCH_PR9.json);
 #  * compile_bench — ISSUE-10 frontend: compiling the committed .mk
 #    corpus vs cold-solving it; exits nonzero if compilation stops
-#    being noise next to the solve (-> BENCH_PR10.json);
-#  * bench_summary — ISSUE-6 perf trajectory (incremental time solver
-#    vs per-level rebuilds).
+#    being noise next to the solve (-> BENCH_PR10.json).
 #
-# Usage: scripts/bench_summary.sh [--kernels nw,hotspot3D] [--repeat N] [--out FILE]
-# All arguments are forwarded to the bench_summary binary.
+# Usage: scripts/bench_summary.sh
 set -eu
 cd "$(dirname "$0")/.."
-cargo build --release -q -p cgra-bench --bin bench_summary --bin routing_ablation --bin persistence_bench --bin compile_bench
+cargo build --release -q -p cgra-bench --bin routing_ablation --bin persistence_bench --bin compile_bench
 ./target/release/routing_ablation --out BENCH_PR7.json
 ./target/release/persistence_bench --out BENCH_PR9.json
 ./target/release/compile_bench --out BENCH_PR10.json
-exec ./target/release/bench_summary "$@"

@@ -26,6 +26,7 @@
 //! stdout once ready, which the smoke script and the e2e harness
 //! scrape. See `docs/SERVICE.md` for the wire protocol.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -271,8 +272,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("monomapd listening on http://{addr}");
-    println!(
+    // The banner is best effort: a stdout reader that has gone away
+    // must not take the daemon down with it, so write errors are
+    // ignored rather than panicking as `println!` would.
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(out, "monomapd listening on http://{addr}");
+    let _ = writeln!(
+        out,
         "  cgra: {} | solve workers: {} | cheap workers: {} | queue bound: {} | cache capacity: {}",
         cgra.describe(),
         opts.workers,
@@ -281,10 +287,11 @@ fn main() -> ExitCode {
         opts.cache_capacity,
     );
     if let Some(dir) = &opts.cache_dir {
-        println!("  cache dir: {dir} | replayed: {replayed} entries");
+        let _ = writeln!(out, "  cache dir: {dir} | replayed: {replayed} entries");
     }
     if !opts.peers.is_empty() {
-        println!(
+        let _ = writeln!(
+            out,
             "  peers: {} | shards: {}",
             opts.peers.join(", "),
             opts.peer_shards.unwrap_or(opts.peers.len()),
@@ -292,8 +299,8 @@ fn main() -> ExitCode {
     }
     // Ready-line consumers (the smoke script) need the port before the
     // first connection arrives.
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
+    let _ = out.flush();
+    drop(out);
     match server.run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -906,3 +906,52 @@ fn malformed_source_is_a_400_with_a_positioned_diagnostic() {
     assert_eq!(ok.name, "wire_acc");
     server.shutdown().unwrap();
 }
+
+#[test]
+fn daemon_survives_a_closed_stdout() {
+    // The real binary with its stdout pipe's read end closed before the
+    // daemon starts: the banner write fails, and the daemon must serve
+    // anyway instead of panicking on the broken pipe.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    /// Stops the daemon however the test ends.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Daemon(
+        std::process::Command::new(env!("CARGO_BIN_EXE_monomapd"))
+            .args([
+                "--addr",
+                &format!("127.0.0.1:{port}"),
+                "--rows",
+                "2",
+                "--cols",
+                "2",
+            ])
+            .stdout(writer)
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn monomapd"),
+    );
+    let client = Client::new(("127.0.0.1", port)).expect("client");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let health = loop {
+        if let Some(status) = daemon.0.try_wait().expect("poll daemon") {
+            panic!("monomapd exited with {status} after losing its stdout reader");
+        }
+        match client.healthz() {
+            Ok(body) => break body,
+            Err(e) if Instant::now() > deadline => panic!("monomapd never answered: {e:?}"),
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+}
